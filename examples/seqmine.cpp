@@ -539,14 +539,33 @@ int main(int argc, char** argv) {
   }
   const double mine_s = mine_timer.Seconds();
 
-  if (flags.GetBool("maximal", false)) {
-    patterns = disc::MaximalPatterns(patterns);
-  } else if (flags.GetBool("closed", false)) {
-    patterns = disc::ClosedPatterns(patterns);
+  // One deletion pass over the mined set gives both the --maximal/--closed
+  // subset and the printed counts: a closed subset is not a valid input for
+  // a second pass (docs/ALGORITHM.md, "Maximal/closed in O(n·k)").
+  const disc::PatternKind kind =
+      flags.GetBool("maximal", false)  ? disc::PatternKind::kMaximal
+      : flags.GetBool("closed", false) ? disc::PatternKind::kClosed
+                                       : disc::PatternKind::kAll;
+  disc::PatternSummary summary;
+  if (!quiet || kind != disc::PatternKind::kAll) {
+    DISC_OBS_SPAN("algo/summarize");
+    disc::obs::StatsHarvest harvest;
+    disc::Timer timer;
+    disc::PatternSet kept;
+    summary = disc::Summarize(
+        patterns, kind, kind == disc::PatternKind::kAll ? nullptr : &kept);
+    if (kind != disc::PatternKind::kAll) patterns = std::move(kept);
+    disc::obs::MineStats stats;
+    stats.miner = "algo/summarize";
+    harvest.Finish(&stats);
+    stats.wall_seconds = timer.Seconds();
+    stats.num_patterns = patterns.size();
+    stats.max_length = summary.max_length;
+    stats.db_sequences = db->size();
+    obs.Record(stats);
   }
 
   if (!quiet) {
-    const disc::PatternSummary summary = disc::Summarize(patterns);
     std::printf(
         "%s: %zu patterns (%zu maximal, %zu closed), max length %u, max "
         "support %u, %.3fs\n",

@@ -8,7 +8,9 @@
 # load shedding, net.* chaos loop), the SIMD determinism
 # gate (identical patterns at every mismatch-scan tier, under ASan), the
 # storage CLI smoke (.dsa pack/shard round trips, corruption exit codes,
-# pack atomicity — under ASan), then the benchmark regression gate for the
+# pack atomicity — under ASan), the summary CLI smoke (printed
+# maximal/closed counts agree with --maximal/--closed — under ASan), then
+# the benchmark regression gate for the
 # encoded-order kernels and the .dsa load path. Each check uses its own
 # build directory, so repeat runs are incremental.
 #
@@ -24,6 +26,7 @@ cd "$(dirname "$0")"
 ./check_server.sh ../build-asan/examples/seqmined ../build-asan/examples/seqmine
 ./check_simd.sh ../build-asan/examples/seqmine
 ./check_storage.sh ../build-asan/examples/seqmine ../build-asan/examples/seqmined
+./check_summary.sh ../build-asan/examples/seqmine
 ./check_perf.sh
 
 echo "all checks passed"
